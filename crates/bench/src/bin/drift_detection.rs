@@ -29,9 +29,7 @@
 //! Usage: `cargo run --release -p dp-bench --bin drift_detection
 //! [--smoke] [--batch-rows N]`
 
-use dataprism::{
-    explain_group_test_parallel_with_pvts, Explanation, PartitionStrategy, ScoreCache,
-};
+use dataprism::{explain_group_test_parallel_with_pvts, PartitionStrategy, ScoreCache};
 use dp_bench::format_row;
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_scenarios::{income, sensors, Scenario};
@@ -194,18 +192,12 @@ fn run_stream(
         false_positives,
         drifted: drifted.len(),
         profiles,
-        targeted_queries: evaluations(&targeted),
-        full_queries: evaluations(&full),
+        targeted_queries: targeted.metrics.system_evaluations(),
+        full_queries: full.metrics.system_evaluations(),
         targeted_secs,
         full_secs,
         digests_match: targeted.digest() == offline.digest(),
     }
-}
-
-/// Actual system invocations a run paid for: charged misses plus
-/// speculative evaluations (as in `warm_cache`).
-fn evaluations(exp: &Explanation) -> u64 {
-    exp.metrics.cache_misses + exp.metrics.speculative_evaluated
 }
 
 fn gate(outcome: &Outcome) -> Vec<String> {

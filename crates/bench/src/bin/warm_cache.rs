@@ -69,12 +69,6 @@ fn arg_value(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Actual system invocations a run paid for: charged misses plus
-/// speculative evaluations.
-fn evaluations(exp: &Explanation) -> u64 {
-    exp.metrics.cache_misses + exp.metrics.speculative_evaluated
-}
-
 fn run(
     factory: &BlockingFactory,
     d_fail: &DataFrame,
@@ -181,7 +175,7 @@ fn main() {
                 "{name}/{leg}: warmth must not change the explanation"
             );
             assert!(
-                evaluations(exp) < evaluations(&cold),
+                exp.metrics.system_evaluations() < cold.metrics.system_evaluations(),
                 "{name}/{leg}: warm run must re-evaluate strictly less"
             );
             assert!(exp.metrics.warm_hits > 0, "{name}/{leg}: no warm hits?");
@@ -197,8 +191,8 @@ fn main() {
                     format!("{cold_s:.3}"),
                     format!("{warm_s:.3}"),
                     format!("{trace_s:.3}"),
-                    evaluations(&cold).to_string(),
-                    evaluations(&warm).to_string(),
+                    cold.metrics.system_evaluations().to_string(),
+                    warm.metrics.system_evaluations().to_string(),
                     warm.metrics.warm_hits.to_string(),
                     format!("{speedup:.2}x"),
                 ],

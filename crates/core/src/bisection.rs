@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 /// Derive the seed of one of the documented per-node RNG streams of
 /// the group-testing recursion: a SplitMix64-style mix of the run
@@ -64,9 +64,33 @@ pub fn partition_rng(seed: u64, ids: &[usize]) -> StdRng {
 /// Partition `items` into two halves whose sizes differ by at most
 /// one, minimizing (locally) the number of `edges` crossing the cut.
 ///
-/// `edges` are unordered pairs of item values (ids). Items appearing
-/// in no edge are free movers the search places wherever balance
+/// `items` are distinct ids. `edges` are unordered pairs of ids: a
+/// pair listed k times weighs k, self-loops never cross the cut, and
+/// pairs naming an id outside `items` are ignored. Items appearing in
+/// no edge are free movers the search places wherever balance
 /// requires.
+///
+/// This is Algorithm 4's local search — start from a shuffled
+/// balanced split, scan swaps `left[i] ↔ right[j]` with `i` outer and
+/// `j` inner, accept the first swap that strictly shrinks the cut,
+/// and restart the scan from `(0, 0)` — with the cut kept
+/// incrementally instead of recounted per trial. Every item `p`
+/// carries `D[p]` = (edge weight to the other half) − (edge weight to
+/// its own half), and swapping `u` and `v` shrinks the cut by exactly
+/// `D[u] + D[v] − 2·w(u, v)`. Costs:
+///
+/// - setup: O(n² + |edges|) for the dense n × n weight matrix (callers
+///   bound n — group testing runs local search on at most 64
+///   candidates);
+/// - a trial swap: O(1), one gain lookup;
+/// - an accepted swap: O(deg u + deg v), updating `D` of the swapped
+///   pair and their neighbours.
+///
+/// A trial is accepted iff its gain is positive, which is exactly
+/// when the recounted cut would be strictly smaller; since the scan
+/// order, the acceptance rule and the restart rule are Algorithm 4's,
+/// the returned `(left, right)` equals what rebuilding and recounting
+/// the cut for every trial returns, element for element.
 pub fn min_bisection(
     items: &[usize],
     edges: &[(usize, usize)],
@@ -76,45 +100,84 @@ pub fn min_bisection(
     if n <= 1 {
         return (items.to_vec(), Vec::new());
     }
-    // Line 1: random balanced initialization.
-    let mut shuffled = items.to_vec();
-    shuffled.shuffle(rng);
+    // Line 1: random balanced initialization. Shuffling positions
+    // draws exactly what shuffling the ids would.
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
     let half = n.div_ceil(2);
-    let mut left: Vec<usize> = shuffled[..half].to_vec();
-    let mut right: Vec<usize> = shuffled[half..].to_vec();
+    let mut right = order.split_off(half);
+    let mut left = order;
 
-    let cut = |l: &[usize], r: &[usize]| -> usize {
-        let ls: BTreeSet<usize> = l.iter().copied().collect();
-        let rs: BTreeSet<usize> = r.iter().copied().collect();
-        edges
-            .iter()
-            .filter(|(a, b)| {
-                (ls.contains(a) && rs.contains(b)) || (rs.contains(a) && ls.contains(b))
-            })
-            .count()
-    };
+    // Edge multiplicities between item positions, plus adjacency.
+    let pos: HashMap<usize, usize> = items.iter().enumerate().map(|(p, &id)| (id, p)).collect();
+    let mut weight = vec![0i64; n * n];
+    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (a, b) in edges {
+        let (Some(&p), Some(&q)) = (pos.get(a), pos.get(b)) else {
+            continue;
+        };
+        if p == q {
+            continue;
+        }
+        if weight[p * n + q] == 0 {
+            adjacent[p].push(q);
+            adjacent[q].push(p);
+        }
+        weight[p * n + q] += 1;
+        weight[q * n + p] += 1;
+    }
+    let mut on_left = vec![false; n];
+    for &p in &left {
+        on_left[p] = true;
+    }
+    let mut gain: Vec<i64> = (0..n)
+        .map(|p| {
+            adjacent[p]
+                .iter()
+                .map(|&q| {
+                    let w = weight[p * n + q];
+                    if on_left[p] == on_left[q] {
+                        -w
+                    } else {
+                        w
+                    }
+                })
+                .sum()
+        })
+        .collect();
 
     // Lines 2–14: swap pairs while the cut shrinks.
-    let mut current = cut(&left, &right);
-    loop {
-        let mut improved = false;
-        'search: for i in 0..left.len() {
-            for j in 0..right.len() {
-                std::mem::swap(&mut left[i], &mut right[j]);
-                let candidate = cut(&left, &right);
-                if candidate < current {
-                    current = candidate;
-                    improved = true;
-                    break 'search;
+    'pass: loop {
+        for slot_u in left.iter_mut() {
+            for slot_v in right.iter_mut() {
+                let (u, v) = (*slot_u, *slot_v);
+                let w_uv = weight[u * n + v];
+                if gain[u] + gain[v] - 2 * w_uv <= 0 {
+                    continue;
                 }
-                std::mem::swap(&mut left[i], &mut right[j]);
+                *slot_u = v;
+                *slot_v = u;
+                on_left[u] = false;
+                on_left[v] = true;
+                for moved in [u, v] {
+                    for &x in &adjacent[moved] {
+                        if x != u && x != v {
+                            let w = 2 * weight[moved * n + x];
+                            gain[x] += if on_left[x] == on_left[moved] { -w } else { w };
+                        }
+                    }
+                }
+                gain[u] = 2 * w_uv - gain[u];
+                gain[v] = 2 * w_uv - gain[v];
+                continue 'pass;
             }
         }
-        if !improved {
-            break;
-        }
+        break;
     }
-    (left, right)
+    (
+        left.into_iter().map(|p| items[p]).collect(),
+        right.into_iter().map(|p| items[p]).collect(),
+    )
 }
 
 /// Random balanced bisection — the partitioning used by the `GrpTest`
@@ -146,6 +209,7 @@ pub fn cut_size(
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)

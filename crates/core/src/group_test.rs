@@ -51,15 +51,6 @@ pub enum PartitionStrategy {
     MinBisection,
     /// Random balanced split (the GrpTest baseline \[21\]).
     Random,
-    /// Minimum bisection over the lint pass's L8 *conflict* graph:
-    /// edges connect candidate pairs **not** certified to commute, so
-    /// provably independent candidates are split apart (their probes
-    /// compose freely) while order-sensitive pairs stay in one half.
-    /// Falls back to the attribute-grouped partitioner above the
-    /// local-search limit. Without commutation facts (`Lint::Off`)
-    /// every pair counts as a conflict edge, and the local search
-    /// reduces to a balanced split of a complete graph.
-    CommuteAware,
 }
 
 struct GtCtx<'o, 'p> {
@@ -78,10 +69,9 @@ struct GtCtx<'o, 'p> {
     depth: usize,
     /// L8 fact table from the lint pass: candidate pairs `(lo, hi)`
     /// whose transformations provably commute. Drives the commute
-    /// bonus on the speculation cap and the
-    /// [`PartitionStrategy::CommuteAware`] conflict graph. Empty under
-    /// `Lint::Off` — result-invisible either way, since speculation
-    /// only warms the cache and the partition strategy is explicit.
+    /// bonus on the speculation cap. Empty under `Lint::Off` —
+    /// result-invisible either way, since speculation only warms the
+    /// cache.
     commuting: std::collections::HashSet<(usize, usize)>,
     /// Trace handle ([`dp_trace::Tracer`]); a no-op in the default
     /// off state. Node events are emitted here, on the main thread,
@@ -539,9 +529,6 @@ fn group_test_rec(
                 PartitionStrategy::MinBisection => {
                     Some(cut_size(&x1, &x2, |i, j| ctx.graph.dependent(i, j)))
                 }
-                PartitionStrategy::CommuteAware => Some(cut_size(&x1, &x2, |i, j| {
-                    !ctx.commuting.contains(&(i.min(j), i.max(j)))
-                })),
                 PartitionStrategy::Random => None,
             })
             .flatten();
@@ -752,31 +739,6 @@ fn partition(ctx: &GtCtx<'_, '_>, candidates: &[usize]) -> (Vec<usize>, Vec<usiz
             min_bisection(&ordered, &edges, &mut rng)
         }
         PartitionStrategy::MinBisection => grouped_bisection(ctx, candidates),
-        PartitionStrategy::CommuteAware if candidates.len() <= LOCAL_SEARCH_LIMIT => {
-            // Conflict graph: an edge between every pair NOT
-            // certified commuting by lint (L8). Under `Lint::Off`
-            // no pair is certified, so every pair conflicts and the
-            // local search degenerates to keeping the benefit order
-            // intact — still a valid bisection.
-            let cand: std::collections::BTreeSet<usize> = candidates.iter().copied().collect();
-            let mut edges = Vec::new();
-            for (k, &i) in candidates.iter().enumerate() {
-                for &j in &candidates[k + 1..] {
-                    let key = (i.min(j), i.max(j));
-                    if !ctx.commuting.contains(&key) {
-                        edges.push((i, j));
-                    }
-                }
-            }
-            let ordered: Vec<usize> = ctx
-                .seed_order
-                .iter()
-                .copied()
-                .filter(|id| cand.contains(id))
-                .collect();
-            min_bisection(&ordered, &edges, &mut rng)
-        }
-        PartitionStrategy::CommuteAware => grouped_bisection(ctx, candidates),
     }
 }
 
@@ -951,37 +913,6 @@ mod tests {
             Err(PrismError::AssumptionViolated(_)) => {}
             Ok(exp) => panic!("expected A3 violation, got {exp}"),
             Err(e) => panic!("unexpected error {e}"),
-        }
-    }
-
-    #[test]
-    fn commute_aware_partitioning_reaches_the_same_explanation() {
-        // CommuteAware bisects over the L8 *conflict* graph instead
-        // of G_PD, so split shapes may differ from MinBisection —
-        // but the diagnosis must still land on the same cause, and
-        // under `Lint::Off` (empty commutation table: every pair
-        // conflicts) the strategy must still terminate.
-        for lint in [crate::Lint::Report, crate::Lint::Off] {
-            let (pass, fail) = pass_fail();
-            let mut system = label_domain_system;
-            let config = PrismConfig {
-                lint,
-                ..PrismConfig::with_threshold(0.2)
-            };
-            let exp = explain_group_test(
-                &mut system,
-                &fail,
-                &pass,
-                &config,
-                PartitionStrategy::CommuteAware,
-            )
-            .unwrap();
-            assert!(exp.resolved, "{lint:?}");
-            assert!(
-                exp.contains_template("domain_cat(target)"),
-                "{lint:?}: {exp}"
-            );
-            assert_eq!(exp.final_score, 0.0);
         }
     }
 

@@ -671,13 +671,81 @@ impl Column {
     }
 
     /// New column with rows gathered at `indices` (repeats allowed —
-    /// used by over/undersampling transformations).
+    /// used by over/undersampling transformations). Panics on an
+    /// out-of-range index.
+    ///
+    /// Gathers typed slices straight into [`CHUNK_ROWS`]-sized output
+    /// chunks, with no [`Value`] round trip. NULL rows get the
+    /// canonical placeholder (0 / 0.0 / false / ""), whatever their
+    /// source slot holds, so the result — chunk layout, data,
+    /// validity, and hence every chunk fingerprint — equals pushing
+    /// `get(i)` row by row.
     pub fn take(&self, indices: &[usize]) -> Column {
-        let mut out = Column::empty(self.name.clone(), self.dtype);
-        for &i in indices {
-            out.push(self.get(i)).expect("same dtype");
+        let chunks = match self.dtype {
+            DType::Int => self.gather(indices, 0, ColumnData::Int, |d| match d {
+                ColumnData::Int(v) => v,
+                _ => unreachable!("chunk variant fixed per column"),
+            }),
+            DType::Float => self.gather(indices, 0.0, ColumnData::Float, |d| match d {
+                ColumnData::Float(v) => v,
+                _ => unreachable!("chunk variant fixed per column"),
+            }),
+            DType::Bool => self.gather(indices, false, ColumnData::Bool, |d| match d {
+                ColumnData::Bool(v) => v,
+                _ => unreachable!("chunk variant fixed per column"),
+            }),
+            DType::Categorical | DType::Text => {
+                self.gather(indices, String::new(), ColumnData::Str, |d| match d {
+                    ColumnData::Str(v) => v,
+                    _ => unreachable!("chunk variant fixed per column"),
+                })
+            }
+        };
+        Column {
+            name: self.name.clone(),
+            dtype: self.dtype,
+            len: indices.len(),
+            chunks,
         }
-        out
+    }
+
+    /// The typed core of [`Column::take`]: `typed` views a source
+    /// chunk's buffer as `Vec<T>`, `wrap` turns an output buffer back
+    /// into [`ColumnData`].
+    fn gather<'a, T: Clone + 'a>(
+        &'a self,
+        indices: &[usize],
+        placeholder: T,
+        wrap: impl Fn(Vec<T>) -> ColumnData,
+        typed: impl Fn(&'a ColumnData) -> &'a Vec<T>,
+    ) -> Vec<Arc<Chunk>> {
+        let sources: Vec<(&[T], &Bitmap)> = self
+            .chunks
+            .iter()
+            .map(|c| (typed(&c.data).as_slice(), &c.validity))
+            .collect();
+        indices
+            .chunks(CHUNK_ROWS)
+            .map(|rows| {
+                let mut validity = Bitmap::new();
+                let values = rows
+                    .iter()
+                    .map(|&i| {
+                        assert!(i < self.len, "row index {i} out of {}", self.len);
+                        let (data, valid) = sources[i / CHUNK_ROWS];
+                        let off = i % CHUNK_ROWS;
+                        if valid.get(off) {
+                            validity.push(true);
+                            data[off].clone()
+                        } else {
+                            validity.push(false);
+                            placeholder.clone()
+                        }
+                    })
+                    .collect();
+                Arc::new(Chunk::new(wrap(values), validity))
+            })
+            .collect()
     }
 
     /// Distinct non-NULL values (as display strings) with counts,
@@ -853,6 +921,12 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(0), Value::Int(30));
         assert_eq!(t.get(2), Value::Int(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "row index 3 out of 3")]
+    fn take_panics_on_out_of_range_index() {
+        Column::from_ints("c", vec![Some(1), None, Some(3)]).take(&[0, 3]);
     }
 
     #[test]

@@ -654,6 +654,7 @@ fn handle_diagnose(
                 .u64("charged_queries", exp.metrics.charged_queries)
                 .u64("cache_hits", exp.metrics.cache_hits)
                 .u64("cache_misses", exp.metrics.cache_misses)
+                .u64("system_evaluations", exp.metrics.system_evaluations())
                 .u64("warm_hits", exp.metrics.warm_hits)
                 .str("speculation", speculation.as_str())
                 .u64("speculative_shed", exp.metrics.speculative_shed)
@@ -936,6 +937,7 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
                 .f64_exact("initial_score", exp.initial_score)
                 .f64_exact("final_score", exp.final_score)
                 .u64("charged_queries", exp.metrics.charged_queries)
+                .u64("system_evaluations", exp.metrics.system_evaluations())
                 .u64("warm_hits", exp.metrics.warm_hits)
                 .usize("new_cache_entries", new_entries)
                 .usize("cache_entries", resident)

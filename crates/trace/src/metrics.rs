@@ -221,6 +221,14 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
+    /// Real system invocations this run paid for: charged cache
+    /// misses plus speculative evaluations. At width > 1 speculation
+    /// serves most charged queries, so misses alone can read 0 even
+    /// on a cold run — this sum is the honest cost of a diagnosis.
+    pub fn system_evaluations(&self) -> u64 {
+        self.cache_misses + self.speculative_evaluated
+    }
+
     /// Fold one worker shard in (called at settle, main thread).
     pub fn merge_worker(&mut self, shard: &MetricsShard) {
         self.speculative_evaluated += shard.evaluated();

@@ -5,6 +5,9 @@
 //! - both bisections return a true partition (disjoint, covering);
 //! - halves are balanced within one element;
 //! - a fixed seed reproduces the split exactly;
+//! - the incremental-gain local search returns exactly the split of
+//!   the rebuild-and-recount reference, on multigraphs with
+//!   self-loops and foreign ids;
 //! - local-search min-bisection never cuts more edges than the random
 //!   balanced split it starts from;
 //! - derived streams canonicalize the candidate id order, so the same
@@ -15,6 +18,7 @@ use dataprism::bisection::{
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
@@ -46,21 +50,64 @@ fn assert_balanced_partition(
     Ok(())
 }
 
-/// Item sets with non-contiguous ids (so id value ≠ index) plus a
-/// random dependency-edge set over them.
+/// Algorithm 4 as first written: rebuild both halves as sets and
+/// recount every edge for each trial swap. Kept as the reference the
+/// incremental-gain [`min_bisection`] must reproduce exactly.
+fn reference_min_bisection(
+    items: &[usize],
+    edges: &[(usize, usize)],
+    rng: &mut StdRng,
+) -> (Vec<usize>, Vec<usize>) {
+    let n = items.len();
+    if n <= 1 {
+        return (items.to_vec(), Vec::new());
+    }
+    let mut shuffled = items.to_vec();
+    shuffled.shuffle(rng);
+    let half = n.div_ceil(2);
+    let mut left: Vec<usize> = shuffled[..half].to_vec();
+    let mut right: Vec<usize> = shuffled[half..].to_vec();
+    let mut current = cut_size(&left, &right, edges);
+    loop {
+        let mut improved = false;
+        'search: for i in 0..left.len() {
+            for j in 0..right.len() {
+                std::mem::swap(&mut left[i], &mut right[j]);
+                let candidate = cut_size(&left, &right, edges);
+                if candidate < current {
+                    current = candidate;
+                    improved = true;
+                    break 'search;
+                }
+                std::mem::swap(&mut left[i], &mut right[j]);
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    (left, right)
+}
+
+/// Item sets of up to 64 non-contiguous ids (so id value ≠ index)
+/// plus a random dependency-edge multiset over them. Edges may repeat
+/// (multiplicity 1–2), may be self-loops, and may name ids that are
+/// not among the items.
 fn graph() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize)>)> {
-    (2usize..24)
+    (2usize..65)
         .prop_flat_map(|n| {
             (
                 Just((0..n).map(|i| i * 3 + 7).collect::<Vec<usize>>()),
-                prop::collection::vec((0usize..n, 0usize..n), 0..40),
+                prop::collection::vec((0usize..n + 4, 0usize..n + 4, 1usize..3), 0..2 * n),
             )
         })
         .prop_map(|(items, index_pairs)| {
+            // Indices past the item list map to foreign ids (≡ 2 mod 3,
+            // never an item id).
+            let id = |k: usize| items.get(k).copied().unwrap_or(k * 3 + 8);
             let edges: Vec<(usize, usize)> = index_pairs
                 .into_iter()
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| (items[a], items[b]))
+                .flat_map(|(a, b, copies)| std::iter::repeat_n((id(a), id(b)), copies))
                 .collect();
             (items, edges)
         })
@@ -91,6 +138,17 @@ proptest! {
         let a = random_bisection(&items, &mut StdRng::seed_from_u64(seed));
         let b = random_bisection(&items, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(a, b, "random_bisection must be deterministic for a fixed seed");
+    }
+
+    #[test]
+    fn incremental_gain_matches_the_recounting_reference(
+        graph in graph(),
+        seed in 0u64..1_000,
+    ) {
+        let (items, edges) = graph;
+        let fast = min_bisection(&items, &edges, &mut StdRng::seed_from_u64(seed));
+        let reference = reference_min_bisection(&items, &edges, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(fast, reference, "incremental gains must replay Algorithm 4 exactly");
     }
 
     #[test]

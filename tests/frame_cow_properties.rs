@@ -13,13 +13,17 @@
 //!   independently without leaking writes into each other or the base;
 //! - untouched columns keep sharing chunks with the base (the CoW
 //!   refactor's memory guarantee), while deep copies share none;
-//! - exact `CHUNK_ROWS` and bitmap-word boundary lengths round-trip.
+//! - exact `CHUNK_ROWS` and bitmap-word boundary lengths round-trip;
+//! - the typed row gather `Column::take` equals pushing `get(i)` row
+//!   by row — chunk data, NULL placeholders and fingerprints — for
+//!   every dtype and for index vectors that repeat rows and cross
+//!   `CHUNK_ROWS`.
 
 use dataprism::profile::OutlierSpec;
 use dataprism::transform::{ImputeStrategy, OutlierRepair, Transform};
 use dataprism::{fingerprint, fingerprint_reference};
 use dp_frame::groupby::ContingencyTable;
-use dp_frame::{CmpOp, Column, DType, DataFrame, Predicate, CHUNK_ROWS};
+use dp_frame::{CmpOp, Column, DType, DataFrame, Predicate, Value, CHUNK_ROWS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -223,6 +227,17 @@ fn apply_seq(df: &DataFrame, ts: &[Transform], seed: u64) -> DataFrame {
     out
 }
 
+/// The row gather as first written: one `get` → [`Value`] → `push`
+/// per index. Kept as the reference the typed `Column::take` must
+/// reproduce exactly.
+fn reference_take(col: &Column, indices: &[usize]) -> Column {
+    let mut out = Column::empty(col.name(), col.dtype());
+    for &i in indices {
+        out.push(col.get(i)).expect("same dtype");
+    }
+    out
+}
+
 proptest! {
     // The core differential: composed transforms through the CoW
     // path (chunks aliased by a live clone) equal the same
@@ -283,6 +298,45 @@ proptest! {
         assert_bit_identical(&out_a, &want_a, "overlay A");
         assert_bit_identical(&out_b, &want_b, "overlay B");
         assert_bit_identical(&base, &snapshot, "base after both overlays");
+    }
+
+    // The typed gather equals the Value round trip on nullable
+    // columns of every dtype. Some NULLs are written with `set`,
+    // which keeps the old value in the slot: the gather must still
+    // emit the canonical placeholder, or fingerprints would drift.
+    #[test]
+    fn typed_take_matches_the_value_push_reference(
+        len in prop::sample::select(vec![1usize, 63, 64, 700, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 9]),
+        picks in 0usize..2 * CHUNK_ROWS + 70,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut df = build_frame(len, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names: Vec<String> = df.columns().iter().map(|c| c.name().to_string()).collect();
+        for name in &names {
+            let col = df.column_mut(name).expect("own column");
+            for _ in 0..len.div_ceil(8) {
+                col.set(rng.gen_range(0..len), Value::Null).expect("in range");
+            }
+        }
+        // Runs of repeated rows, drawn from the whole column, so
+        // from both sides of each source chunk boundary.
+        let mut indices = Vec::with_capacity(picks);
+        while indices.len() < picks {
+            let row = rng.gen_range(0..len);
+            let copies = rng.gen_range(1..4usize).min(picks - indices.len());
+            indices.extend(std::iter::repeat_n(row, copies));
+        }
+        let fast = df.take(&indices).expect("indices in range");
+        let reference = DataFrame::from_columns(
+            df.columns().iter().map(|c| reference_take(c, &indices)).collect(),
+        )
+        .expect("reference rebuilds");
+        for (a, b) in fast.columns().iter().zip(reference.columns()) {
+            prop_assert!(a == b, "column {} differs from the reference", a.name());
+            prop_assert_eq!(a.chunks().len(), picks.div_ceil(CHUNK_ROWS));
+        }
+        prop_assert_eq!(fingerprint(&fast), fingerprint(&reference));
     }
 }
 
