@@ -243,6 +243,12 @@ impl Watcher {
         Some(frame)
     }
 
+    /// Rows in the current scoring window: the retained batches' row
+    /// counts summed, without concatenating them.
+    pub fn window_rows(&self) -> usize {
+        self.window.iter().map(|b| b.frame.n_rows()).sum()
+    }
+
     /// Per-column merged summaries of the current window (the screen
     /// input for drift scoring) — merged from the retained per-batch
     /// summaries, no row scan.
@@ -465,11 +471,13 @@ mod tests {
     fn window_keeps_only_the_recent_batches() {
         let mut w = watcher();
         let tracer = Tracer::off();
+        assert_eq!(w.window_rows(), 0);
         for _ in 0..5 {
             w.ingest(batch(6, 0.0, ["-1", "1"]), &tracer).unwrap();
         }
         // window_batches = 2 → the window holds 12 of the 30 rows.
         assert_eq!(w.window_frame().unwrap().n_rows(), 12);
+        assert_eq!(w.window_rows(), 12);
         assert_eq!(w.rows(), 30);
     }
 

@@ -45,7 +45,8 @@ pub const DEFAULT_BUDGET_BYTES: usize = 4 << 20;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Max diagnoses evaluating concurrently.
+    /// Max diagnoses evaluating concurrently. Also sets the width of
+    /// drift escalations: the host's cores divided by this, at least 1.
     pub max_inflight: usize,
     /// Max diagnoses waiting for a slot before `busy` is returned.
     pub max_queue: usize,
@@ -186,6 +187,9 @@ struct Shared {
     shutting_down: AtomicBool,
     local_addr: SocketAddr,
     stats: Mutex<ServerStats>,
+    /// Threads per drift escalation: the host's cores split evenly
+    /// across the `max_inflight` slots.
+    diagnosis_width: usize,
     /// Snapshots loaded from `snapshot_dir` at startup, keyed by
     /// system name; folded into a namespace when that name is
     /// registered.
@@ -213,6 +217,7 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             local_addr,
             stats: Mutex::new(ServerStats::default()),
+            diagnosis_width: diagnosis_width(config.max_inflight),
             pending_snapshots: Mutex::new(pending),
             config,
         });
@@ -354,20 +359,28 @@ enum LineRead {
 struct LineReader {
     stream: TcpStream,
     pending: Vec<u8>,
+    /// Prefix of `pending` already searched for a newline, so each
+    /// byte is scanned once however many reads a long line takes.
+    scanned: usize,
 }
 
 impl LineReader {
     fn next_line(&mut self, shared: &Shared, cap: usize) -> LineRead {
         let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
+            if let Some(at) = self.pending[self.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+            {
+                let mut line: Vec<u8> = self.pending.drain(..=self.scanned + at).collect();
+                self.scanned = 0;
                 line.pop(); // the newline
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
                 return LineRead::Line(line);
             }
+            self.scanned = self.pending.len();
             if self.pending.len() > cap {
                 return LineRead::Oversized;
             }
@@ -396,6 +409,7 @@ fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
     let mut reader = LineReader {
         stream,
         pending: Vec::new(),
+        scanned: 0,
     };
     loop {
         match reader.next_line(&shared, shared.config.max_line_bytes) {
@@ -550,6 +564,15 @@ fn handle_register(
         .usize("cache_entries", resident)
         .usize("snapshot_entries_reloaded", reloaded)
         .finish()
+}
+
+/// Threads for one drift escalation: the host's cores divided evenly
+/// across the admission slots (at least one), so escalations do not
+/// oversubscribe the host while another slot is busy. Results do not
+/// depend on the width; only wall time does.
+fn diagnosis_width(max_inflight: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / max_inflight.max(1)).max(1)
 }
 
 /// The per-namespace slice of the server-wide speculative frame
@@ -798,11 +821,7 @@ fn handle_ingest(shared: &Shared, system: &str, rows_csv: &str) -> String {
             .map_err(|e| error_response(ErrorCode::BadBatch, &e.to_string()))?;
         entry.drift.batches_ingested += 1;
         entry.drift.rows_ingested += batch_rows;
-        Ok((
-            watcher.batches(),
-            watcher.rows(),
-            watcher.window_frame().map(|w| w.n_rows()).unwrap_or(0),
-        ))
+        Ok((watcher.batches(), watcher.rows(), watcher.window_rows()))
     });
     match ingested {
         Ok(Ok((batches, rows, window_rows))) => Reply::ok("ingest")
@@ -889,6 +908,7 @@ fn handle_drift(shared: &Shared, system: &str, diagnose: bool, algo: Algo) -> St
     };
     let candidates = pvts.len();
     let mut config = spec.config.clone();
+    config.num_threads = shared.diagnosis_width;
     config.speculation = shared.config.speculation;
     config.speculation_budget = namespace_budget(&shared.config);
     let result = match algo {
@@ -1038,6 +1058,7 @@ fn handle_stats(shared: &Shared, system: Option<&str>) -> String {
             Reply::ok("stats")
                 .strs("systems", &names)
                 .usize("max_inflight", shared.config.max_inflight)
+                .usize("diagnosis_width", shared.diagnosis_width)
                 .usize("max_queue", shared.config.max_queue)
                 .usize("budget_bytes", shared.config.budget_bytes)
                 .str("speculation", shared.config.speculation.as_str())

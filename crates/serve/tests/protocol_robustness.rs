@@ -5,9 +5,12 @@
 //! misbehaving client can never poison another client's cache
 //! namespace.
 
+use dataprism::ScoreCache;
+use dp_frame::csv::write_csv;
+use dp_serve::registry::build_scenario;
 use dp_serve::{field_u64, is_ok, Client, ServeConfig, Server};
-use dp_trace::JsonValue;
-use std::io::Write;
+use dp_trace::{json_escape, JsonValue};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -331,4 +334,113 @@ fn draining_server_rejects_new_work_with_a_typed_error() {
         ),
     }
     server.join();
+}
+
+#[test]
+fn ingest_with_an_unparsable_numeric_cell_is_a_bad_batch_that_appends_nothing() {
+    let (server, mut client) = start_default();
+    assert!(is_ok(
+        &client.register("ex", "example1", None, None).unwrap()
+    ));
+    assert!(is_ok(&client.watch("ex", None, None).unwrap()));
+    let d_pass = build_scenario("example1", None, None).unwrap().d_pass;
+    let mut csv = Vec::new();
+    write_csv(&d_pass, &mut csv).unwrap();
+    let csv = String::from_utf8(csv).unwrap();
+    let good = client.ingest("ex", &csv).unwrap();
+    assert!(is_ok(&good), "{good:?}");
+    let rows = field_u64(&good, "rows_total").unwrap();
+    assert_eq!(rows, d_pass.n_rows() as u64);
+
+    // The same first record with its Int cell garbled.
+    let age = d_pass
+        .columns()
+        .iter()
+        .position(|c| c.name() == "age")
+        .unwrap();
+    let mut lines = csv.lines();
+    let header = lines.next().unwrap();
+    let record = lines.next().unwrap();
+    assert!(!record.contains('"'), "plain fields split on commas");
+    let mut cells: Vec<&str> = record.split(',').collect();
+    cells[age] = "4O";
+    let bad = client
+        .ingest("ex", &format!("{header}\n{}\n", cells.join(",")))
+        .unwrap();
+    assert_eq!(error_code(&bad).as_deref(), Some("bad_batch"), "{bad:?}");
+    let detail = bad.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert!(
+        detail.contains("line 2") && detail.contains("\"age\""),
+        "{bad:?}"
+    );
+
+    // Nothing was appended: neither the watcher nor the totals moved.
+    let stats = client.stats(Some("ex")).unwrap();
+    assert_eq!(field_u64(&stats, "rows_ingested_total"), Some(rows));
+    assert_eq!(field_u64(&stats, "batches_ingested_total"), Some(1));
+    let again = client.ingest("ex", &csv).unwrap();
+    assert_eq!(field_u64(&again, "rows_total"), Some(2 * rows), "{again:?}");
+    stop(server, &mut client);
+}
+
+#[test]
+fn multi_mib_request_sent_in_small_writes_gets_its_reply() {
+    let server = Server::start(ServeConfig {
+        budget_bytes: 64 << 20,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(is_ok(
+        &client.register("ex", "example1", None, None).unwrap()
+    ));
+    let mut cache = ScoreCache::new();
+    let entries = 110_000u64;
+    for i in 0..entries {
+        cache.insert(
+            i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            i as f64 / entries as f64,
+        );
+    }
+    let line = format!(
+        "{{\"op\":\"restore\",\"system\":\"ex\",\"snapshot\":{}}}\n",
+        json_escape(&cache.to_snapshot())
+    );
+    assert!(line.len() > 4 << 20, "{} bytes", line.len());
+
+    // One request line trickled in 4 KiB writes: the daemon must
+    // reassemble and parse it in time linear in its length.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    for piece in line.as_bytes().chunks(4096) {
+        raw.write_all(piece).unwrap();
+    }
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).unwrap();
+    let v = JsonValue::parse(reply.trim_end()).unwrap();
+    assert!(is_ok(&v), "{v:?}");
+    assert_eq!(field_u64(&v, "new_cache_entries"), Some(entries));
+    assert!(field_u64(&v, "cache_entries").unwrap() >= entries, "{v:?}");
+    stop(server, &mut client);
+}
+
+#[test]
+fn server_wide_stats_report_the_host_sized_diagnosis_width() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    for max_inflight in [1usize, 2, 1024] {
+        let server = Server::start(ServeConfig {
+            max_inflight,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let stats = client.stats(None).unwrap();
+        assert_eq!(
+            field_u64(&stats, "diagnosis_width"),
+            Some((cores / max_inflight as u64).max(1)),
+            "{stats:?}"
+        );
+        stop(server, &mut client);
+    }
 }

@@ -332,14 +332,12 @@ type Json = JsonValue;
 impl JsonValue {
     /// Parse one JSON document, requiring it to span the whole input
     /// (trailing whitespace allowed).
+    ///
+    /// Runs in time linear in the input length: string contents are
+    /// copied run by run between quotes and escapes, never
+    /// re-validated, so a multi-MiB request line parses in one pass.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
-        let mut parser = Parser::new(input);
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing data after JSON value"));
-        }
-        Ok(value)
+        Parser::new(input).document()
     }
 
     /// Field lookup on an object; `None` for other variants or a
@@ -387,6 +385,10 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Decode plain string characters one at a time, the way the
+    /// parser did before runs were copied whole (test reference).
+    #[cfg(test)]
+    char_at_a_time: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -394,7 +396,20 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            #[cfg(test)]
+            char_at_a_time: false,
         }
+    }
+
+    /// One value spanning the whole input (trailing whitespace
+    /// allowed).
+    fn document(mut self) -> Result<Json, String> {
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing data after JSON value"));
+        }
+        Ok(value)
     }
 
     fn err(&self, msg: &str) -> String {
@@ -472,48 +487,74 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs never appear in our own
-                            // output (we only \u-escape control
-                            // chars); map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
+                Some(b'\\') => self.escape(&mut out)?,
+                #[cfg(test)]
+                Some(_) if self.char_at_a_time => self.plain_char(&mut out)?,
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through intact:
-                    // re-decode from the byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash at once, validating each byte once.
+                    // Both stop bytes are ASCII and the input is a
+                    // `&str`, so the run is valid UTF-8.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("a run between ASCII bytes of a &str"),
+                    );
                 }
             }
         }
+    }
+
+    /// Decode one backslash escape (the parser sits on the `\`).
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        self.pos += 1;
+        match self.bytes.get(self.pos).copied() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = self
+                    .bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code = u32::from_str_radix(
+                    std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
+                    16,
+                )
+                .map_err(|_| self.err("bad \\u escape"))?;
+                // Surrogate pairs never appear in our own output (we
+                // only \u-escape control chars); map lone surrogates
+                // to U+FFFD.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                self.pos += 4;
+            }
+            _ => return Err(self.err("bad escape")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The original decoder's plain-character step: re-validate the
+    /// rest of the input and take one character. Quadratic in the
+    /// string length; kept only as the differential tests' reference.
+    #[cfg(test)]
+    fn plain_char(&mut self, out: &mut String) -> Result<(), String> {
+        let rest =
+            std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| self.err("invalid UTF-8"))?;
+        let c = rest.chars().next().expect("non-empty");
+        out.push(c);
+        self.pos += c.len_utf8();
+        Ok(())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -786,6 +827,7 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<TraceRecord>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_records() -> Vec<TraceRecord> {
         vec![
@@ -993,6 +1035,106 @@ mod tests {
         assert!(!hit.contains("latency_ns"), "{hit}");
         let miss = record_to_json(&records[1]);
         assert!(miss.contains("\"latency_ns\":123456789"), "{miss}");
+    }
+
+    /// Parse with the original char-at-a-time string decoder.
+    fn reference_parse(input: &str) -> Result<JsonValue, String> {
+        let mut parser = Parser::new(input);
+        parser.char_at_a_time = true;
+        parser.document()
+    }
+
+    /// Characters from every UTF-8 width, weighted toward the ones
+    /// the encoder and decoder treat specially.
+    fn any_char() -> impl Strategy<Value = char> {
+        let code =
+            |r: std::ops::Range<u32>| r.prop_map(|c| char::from_u32(c).expect("scalar value"));
+        prop_oneof![
+            4 => code(0x20..0x7f),
+            2 => code(0..0x20),
+            2 => prop::sample::select(vec!['"', '\\', '/', '\u{7f}', '\u{fffd}']),
+            1 => code(0x80..0x800),
+            1 => code(0x800..0xd800),
+            1 => code(0xe000..0x1_0000),
+            1 => code(0x1_0000..0x11_0000),
+        ]
+    }
+
+    fn any_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(any_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #[test]
+        fn escaped_strings_parse_back_verbatim(s in any_string()) {
+            prop_assert_eq!(JsonValue::parse(&json_escape(&s)), Ok(JsonValue::Str(s.clone())));
+        }
+
+        #[test]
+        fn run_decoder_matches_the_char_reference_on_mutated_documents(
+            strings in prop::collection::vec(any_string(), 1..4),
+            edits in prop::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 0..6),
+        ) {
+            let mut doc = String::from("{\"op\":\"ingest\",\"n\":[1,-2.5e3,true,null]");
+            for (i, s) in strings.iter().enumerate() {
+                doc.push_str(&format!(",\"k{i}\":{},\"e\":\"\\u00e9\\ud800\\/\"", json_escape(s)));
+            }
+            doc.push('}');
+            // Overwrite, insert or delete single bytes anywhere,
+            // including inside multi-byte characters; invalid UTF-8
+            // decodes lossily, as the daemon reads request lines.
+            let mut bytes = doc.into_bytes();
+            for (at, byte, kind) in edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            prop_assert_eq!(JsonValue::parse(&text), reference_parse(&text));
+        }
+    }
+
+    #[test]
+    fn reference_agrees_on_every_error_position() {
+        for doc in [
+            "\"abc",
+            "\"a\\q\"",
+            "\"\\u12\"",
+            "\"\\u12",
+            "\"\\uzzzz\"",
+            "\"é\\u00e\"",
+            "{\"k\":\"v\" x}",
+            "\"a\" \"b\"",
+            "\"\\u+0041\"",
+        ] {
+            assert_eq!(JsonValue::parse(doc), reference_parse(doc), "{doc}");
+        }
+        assert_eq!(
+            JsonValue::parse("\"abc"),
+            Err("unterminated string at byte 4".to_string())
+        );
+    }
+
+    #[test]
+    fn multi_mib_strings_parse_in_one_pass() {
+        // 8 MiB is the daemon's request cap; the char-at-a-time
+        // decoder needed tens of minutes for a line this long.
+        let payload = "snapshot-line,é,\u{1f600};".repeat(8 << 20 >> 5);
+        let line = format!(
+            "{{\"op\":\"restore\",\"snapshot\":{}}}",
+            json_escape(&payload)
+        );
+        let parsed = JsonValue::parse(&line).unwrap();
+        assert_eq!(
+            parsed.get("snapshot").and_then(JsonValue::as_str),
+            Some(payload.as_str())
+        );
     }
 
     #[test]
