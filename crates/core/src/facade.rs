@@ -165,64 +165,6 @@ impl DataPrism {
         }
     }
 
-    /// [`DataPrism::diagnose_parallel`] warm-started from — and
-    /// exporting back into — a cross-run [`crate::ScoreCache`]: the
-    /// runtime's fingerprint cache is seeded from `cache` before any
-    /// oracle query and everything the run scored is absorbed back
-    /// afterwards, even on error. This is the entry point `dp_serve`
-    /// drives with its per-system server-resident caches; the
-    /// explanation is bit-for-bit identical to a cold
-    /// [`DataPrism::diagnose_parallel`].
-    pub fn diagnose_parallel_cached(
-        &self,
-        factory: &dyn SystemFactory,
-        d_fail: &DataFrame,
-        d_pass: &DataFrame,
-        cache: &mut crate::ScoreCache,
-    ) -> Result<Explanation> {
-        crate::explain_greedy_parallel_cached(factory, d_fail, d_pass, &self.config, cache)
-    }
-
-    /// [`DataPrism::diagnose_group_test_parallel`] warm-started from
-    /// — and exporting back into — a cross-run [`crate::ScoreCache`]
-    /// (same contract as [`DataPrism::diagnose_parallel_cached`]).
-    pub fn diagnose_group_test_parallel_cached(
-        &self,
-        factory: &dyn SystemFactory,
-        d_fail: &DataFrame,
-        d_pass: &DataFrame,
-        cache: &mut crate::ScoreCache,
-    ) -> Result<Explanation> {
-        crate::explain_group_test_parallel_cached(
-            factory,
-            d_fail,
-            d_pass,
-            &self.config,
-            PartitionStrategy::MinBisection,
-            cache,
-        )
-    }
-
-    /// [`DataPrism::diagnose_auto_parallel`] with a cross-run
-    /// [`crate::ScoreCache`]: group testing first, greedy fallback
-    /// when assumption A3 is violated. The group-testing attempt's
-    /// evaluations land in `cache` before the fallback starts, so the
-    /// greedy run reuses every score the failed attempt paid for.
-    pub fn diagnose_auto_parallel_cached(
-        &self,
-        factory: &dyn SystemFactory,
-        d_fail: &DataFrame,
-        d_pass: &DataFrame,
-        cache: &mut crate::ScoreCache,
-    ) -> Result<Explanation> {
-        match self.diagnose_group_test_parallel_cached(factory, d_fail, d_pass, cache) {
-            Err(crate::PrismError::AssumptionViolated(_)) => {
-                self.diagnose_parallel_cached(factory, d_fail, d_pass, cache)
-            }
-            other => other,
-        }
-    }
-
     /// Render a markdown report for an explanation produced by this
     /// session.
     pub fn report(

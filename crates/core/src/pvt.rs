@@ -7,9 +7,9 @@
 
 use crate::error::Result;
 use crate::profile::Profile;
-use crate::transform::Transform;
+use crate::transform::{resample_rows, Transform};
 use crate::violation::violation;
-use dp_frame::DataFrame;
+use dp_frame::{Bitmap, DataFrame};
 use rand::rngs::StdRng;
 use std::fmt;
 
@@ -62,6 +62,16 @@ impl fmt::Display for Pvt {
 /// Apply a composition of PVT transformations
 /// `(X1_T ∘ X2_T ∘ …)(df)` — Definition 9 — in the given order.
 /// Returns the transformed frame and total tuples modified.
+///
+/// The result equals folding [`Transform::apply`] step by step: the
+/// same frame (chunk layout and NULL placeholders included), the same
+/// total, and the same draws from `rng`. Runs of consecutive
+/// [`Transform::ResampleSelectivity`] steps are cheaper, though: each
+/// step only composes its row selection into a pending one, and the
+/// rows are gathered once, before the next other transform and at
+/// the end. This is exact because predicates are row-wise (the mask
+/// of a gathered frame is the gathered mask) and
+/// `take(take(d, a), b) == take(d, a∘b)`.
 pub fn apply_composition(
     pvts: &[&Pvt],
     df: &DataFrame,
@@ -71,9 +81,37 @@ pub fn apply_composition(
     // compose thousands of transformations, and per-constituent
     // clones of a wide frame would make them quadratic.
     let mut cur = df.clone();
+    // The rows of `cur` the resamples so far selected, not yet
+    // gathered; `None` is every row of `cur`, in order.
+    let mut pending: Option<Vec<usize>> = None;
     let mut total = 0;
     for pvt in pvts {
+        if let Transform::ResampleSelectivity { predicate, theta } = &pvt.transform {
+            let n = pending.as_ref().map_or(cur.n_rows(), Vec::len);
+            if n == 0 {
+                continue;
+            }
+            let mask = predicate.evaluate(&cur)?;
+            let mask = match &pending {
+                Some(rows) => Bitmap::from_iter(rows.iter().map(|&r| mask.get(r))),
+                None => mask,
+            };
+            if let Some((rows, changed)) = resample_rows(&mask, *theta, rng) {
+                pending = Some(match pending {
+                    Some(prev) => rows.iter().map(|&i| prev[i]).collect(),
+                    None => rows,
+                });
+                total += changed;
+            }
+            continue;
+        }
+        if let Some(rows) = pending.take() {
+            cur = cur.take(&rows)?;
+        }
         total += pvt.transform.apply_in_place(&mut cur, rng)?;
+    }
+    if let Some(rows) = pending {
+        cur = cur.take(&rows)?;
     }
     Ok((cur, total))
 }

@@ -16,7 +16,7 @@
 
 use crate::error::Result;
 use crate::profile::OutlierSpec;
-use dp_frame::{DType, DataFrame, Predicate, Value};
+use dp_frame::{Bitmap, DType, DataFrame, Predicate, Value};
 use dp_stats::causal::{ols, standardize};
 use dp_stats::descriptive::{mean, median, std_dev};
 use dp_stats::pearson;
@@ -26,6 +26,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// How [`Transform::ReplaceOutliers`] repairs flagged values
 /// (Fig 1 row 4's two alternatives).
@@ -362,7 +363,7 @@ impl Transform {
             Transform::MapToDomain { attr, values } => {
                 let mapping = order_preserving_map(out, attr, values)?;
                 let col = out.column_mut(attr)?;
-                col.map_str_in_place(|s| mapping.get(s).cloned())
+                col.map_str_cells_in_place(|s| mapping.get(s).cloned())
             }
             Transform::LinearRescale { attr, lb, ub } => {
                 let col = out.column_mut(attr)?;
@@ -418,9 +419,17 @@ impl Transform {
             }
             Transform::Impute { attr, strategy } => impute(out, attr, *strategy)?,
             Transform::ResampleSelectivity { predicate, theta } => {
-                let (resampled, changed) = resample(out, predicate, *theta, rng)?;
-                *out = resampled;
-                changed
+                if out.is_empty() {
+                    return Ok(0);
+                }
+                let mask = predicate.evaluate(out)?;
+                match resample_rows(&mask, *theta, rng) {
+                    Some((rows, changed)) => {
+                        *out = out.take(&rows)?;
+                        changed
+                    }
+                    None => 0,
+                }
             }
             Transform::BreakDependenceShuffle { a, b, alpha } => {
                 // Identity when the dependence already satisfies the
@@ -435,7 +444,7 @@ impl Transform {
                     let mut perm: Vec<usize> = (0..n).collect();
                     perm.shuffle(rng);
                     let shuffled = col.take(&perm);
-                    let changed = (0..n).filter(|&i| col.get(i) != shuffled.get(i)).count();
+                    let changed = col.count_differences(&shuffled);
                     out.replace_column(shuffled)?;
                     changed
                 }
@@ -495,7 +504,7 @@ fn order_preserving_map(
     df: &DataFrame,
     attr: &str,
     values: &BTreeSet<String>,
-) -> Result<std::collections::HashMap<String, String>> {
+) -> Result<std::collections::HashMap<String, Arc<str>>> {
     let col = df.column(attr)?;
     let mut foreign: Vec<String> = col
         .value_counts()
@@ -521,6 +530,8 @@ fn order_preserving_map(
     if domain.is_empty() {
         return Ok(map);
     }
+    // One shared cell per domain value: every repaired row points at it.
+    let domain: Vec<Arc<str>> = domain.into_iter().map(Arc::from).collect();
     let nf = foreign.len();
     for (i, f) in foreign.into_iter().enumerate() {
         // Rank-proportional assignment: i-th of nf foreign values maps
@@ -530,7 +541,7 @@ fn order_preserving_map(
         } else {
             ((i as f64 / (nf - 1) as f64) * (domain.len() - 1) as f64).round() as usize
         };
-        map.insert(f, domain[j].clone());
+        map.insert(f, Arc::clone(&domain[j]));
     }
     Ok(map)
 }
@@ -573,58 +584,61 @@ fn impute(df: &mut DataFrame, attr: &str, strategy: ImputeStrategy) -> Result<us
     Ok(changed)
 }
 
-/// Adjust the row multiset so `selectivity(predicate) ≈ theta`.
-fn resample(
-    df: &DataFrame,
-    predicate: &Predicate,
+/// The row selection that adjusts a frame's row multiset so the
+/// selectivity of a predicate moves to `theta`: `mask` holds the
+/// predicate's verdict on each of the frame's `mask.len()` rows.
+/// Returns the rows to gather, in output order (repeats allowed), and
+/// the number of tuples added or dropped — or `None` when the
+/// resample is the identity (already at `theta`, no matching row to
+/// oversample, or a target of 1 or more).
+///
+/// Pure in the frame: only `mask` is read, so consecutive resamples
+/// can compose their selections before any row is gathered (see
+/// [`crate::pvt::apply_composition`]).
+pub(crate) fn resample_rows(
+    mask: &Bitmap,
     theta: f64,
     rng: &mut StdRng,
-) -> Result<(DataFrame, usize)> {
-    let n = df.n_rows();
+) -> Option<(Vec<usize>, usize)> {
+    let n = mask.len();
     if n == 0 {
-        return Ok((df.clone(), 0));
+        return None;
     }
-    let mask = predicate.evaluate(df)?;
     let matching: Vec<usize> = mask.ones().collect();
-    let non_matching: Vec<usize> = (0..n).filter(|&i| !mask.get(i)).collect();
     let sel = matching.len() as f64 / n as f64;
     let theta = theta.clamp(0.0, 1.0);
-    if (sel - theta).abs() < 1e-9 {
-        return Ok((df.clone(), 0));
+    if (sel - theta).abs() < 1e-9 || theta >= 1.0 {
+        return None;
     }
     if sel < theta {
         // Oversample matching rows: (m + k) / (n + k) = θ.
-        if matching.is_empty() || theta >= 1.0 {
-            return Ok((df.clone(), 0));
+        if matching.is_empty() {
+            return None;
         }
         let k = ((theta * n as f64 - matching.len() as f64) / (1.0 - theta)).ceil() as usize;
-        let mut idx: Vec<usize> = (0..n).collect();
+        let mut rows: Vec<usize> = (0..n).collect();
         for _ in 0..k {
-            idx.push(matching[rng.gen_range(0..matching.len())]);
+            rows.push(matching[rng.gen_range(0..matching.len())]);
         }
-        Ok((df.take(&idx)?, k))
+        Some((rows, k))
     } else {
         // Undersample matching rows: (m - k) / (n - k) = θ.
-        if theta >= 1.0 {
-            return Ok((df.clone(), 0));
-        }
         let k = ((matching.len() as f64 - theta * n as f64) / (1.0 - theta)).ceil() as usize;
         let k = k.min(matching.len());
-        let mut drop = matching.clone();
+        let mut drop = matching;
         drop.shuffle(rng);
         drop.truncate(k);
-        let drop: std::collections::HashSet<usize> = drop.into_iter().collect();
-        let keep: Vec<usize> = (0..n).filter(|i| !drop.contains(i)).collect();
-        // Guard against emptying the frame entirely.
-        let keep = if keep.is_empty() {
-            non_matching.clone()
-        } else {
-            keep
-        };
-        if keep.is_empty() {
-            return Ok((df.clone(), 0));
+        let mut dropped = vec![false; n];
+        for &i in &drop {
+            dropped[i] = true;
         }
-        Ok((df.take(&keep)?, k))
+        let keep: Vec<usize> = (0..n).filter(|&i| !dropped[i]).collect();
+        // Only matching rows are dropped, so the frame empties only
+        // when every row matches; that resample is the identity.
+        if keep.is_empty() {
+            return None;
+        }
+        Some((keep, k))
     }
 }
 
@@ -915,6 +929,35 @@ mod tests {
             fixed.column("b").unwrap().value_counts(),
             df.column("b").unwrap().value_counts()
         );
+    }
+
+    #[test]
+    fn shuffle_counts_changed_cells_with_nulls() {
+        // b tracks a, with every fifth b NULL; the shuffle moves NULLs
+        // as well as values, and a NULL landing on a NULL is no change.
+        let a: Vec<&str> = (0..120)
+            .map(|i| if i % 2 == 0 { "x" } else { "y" })
+            .collect();
+        let b: Vec<Option<String>> = (0..120)
+            .map(|i| (i % 5 != 0).then(|| if i % 2 == 0 { "p" } else { "q" }.to_string()))
+            .collect();
+        let df = DataFrame::from_columns(vec![
+            cat("a", &a),
+            Column::from_strings("b", DType::Categorical, b),
+        ])
+        .unwrap();
+        let t = Transform::BreakDependenceShuffle {
+            a: "a".into(),
+            b: "b".into(),
+            alpha: 0.2,
+        };
+        let (fixed, changed) = t.apply(&df, &mut rng()).unwrap();
+        let (before, after) = (df.column("b").unwrap(), fixed.column("b").unwrap());
+        let by_value = (0..df.n_rows())
+            .filter(|&i| before.get(i) != after.get(i))
+            .count();
+        assert_eq!(changed, by_value);
+        assert_eq!(changed, 77, "seed 11's permutation changes 77 of 120 cells");
     }
 
     #[test]

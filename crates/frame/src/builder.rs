@@ -1,6 +1,6 @@
 //! Row-oriented frame construction.
 
-use crate::column::Column;
+use crate::column::{CellCache, Column};
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
@@ -14,28 +14,36 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct DataFrameBuilder {
     columns: Vec<Column>,
+    /// One string-cell cache per column, so equal strings in a column
+    /// share one allocation.
+    cells: Vec<CellCache>,
 }
 
 impl DataFrameBuilder {
     /// Start a builder for the given schema.
     pub fn new(schema: &Schema) -> Self {
-        DataFrameBuilder {
-            columns: schema
+        DataFrameBuilder::from_empty(
+            schema
                 .fields()
                 .iter()
                 .map(|f| Column::empty(f.name.clone(), f.dtype))
                 .collect(),
-        }
+        )
     }
 
     /// Start a builder from (name, dtype) pairs.
     pub fn with_fields(fields: &[(&str, DType)]) -> Self {
-        DataFrameBuilder {
-            columns: fields
+        DataFrameBuilder::from_empty(
+            fields
                 .iter()
                 .map(|(n, t)| Column::empty(n.to_string(), *t))
                 .collect(),
-        }
+        )
+    }
+
+    fn from_empty(columns: Vec<Column>) -> Self {
+        let cells = columns.iter().map(|_| CellCache::new()).collect();
+        DataFrameBuilder { columns, cells }
     }
 
     /// Append one tuple. The row must have exactly one value per
@@ -60,8 +68,11 @@ impl DataFrameBuilder {
                 });
             }
         }
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v).expect("validated above");
+        for ((col, cells), v) in self.columns.iter_mut().zip(&mut self.cells).zip(row) {
+            match v {
+                Value::Str(s) => col.push_str_cell(cells.cell(&s)),
+                v => col.push(v).expect("validated above"),
+            }
         }
         Ok(())
     }

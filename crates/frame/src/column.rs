@@ -8,6 +8,10 @@
 //! transformation that edits one attribute thus leaves every other
 //! column's chunks shared with the source frame, together with their
 //! cached content fingerprints (see [`Chunk::cached_fingerprint`]).
+//!
+//! String cells are shared too: each is an `Arc<str>`, so gathering,
+//! cloning or dropping a string row costs one reference-count
+//! operation, not an allocation and a copy.
 
 use crate::bitmap::Bitmap;
 use crate::dtype::DType;
@@ -21,6 +25,8 @@ pub const CHUNK_ROWS: usize = 4096;
 
 /// Physical storage of one chunk of a column. Slots masked out by the
 /// validity bitmap hold an arbitrary placeholder (0 / 0.0 / false / "").
+/// String slots are shared `Arc<str>` cells; an `Arc<str>` hashes and
+/// compares as its `str`, exactly like the `String` it replaces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// `Int` columns.
@@ -30,7 +36,51 @@ pub enum ColumnData {
     /// `Bool` columns.
     Bool(Vec<bool>),
     /// `Categorical` and `Text` columns.
-    Str(Vec<String>),
+    Str(Vec<Arc<str>>),
+}
+
+/// The shared empty string every NULL string slot holds.
+fn empty_str() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::from("")))
+}
+
+/// Builds the string cells of one column, sharing one allocation
+/// among equal strings: a small direct-mapped table remembers the
+/// most recent cell per slot. A categorical column, with few distinct
+/// values, then allocates about once per value instead of once per
+/// row; a column of unique strings pays one slot lookup per row on
+/// top of its allocations. Sharing is invisible to readers: cells
+/// compare and hash by content.
+#[derive(Debug, Clone)]
+pub(crate) struct CellCache {
+    slots: Vec<Option<Arc<str>>>,
+}
+
+impl CellCache {
+    const SLOTS: usize = 64;
+
+    pub(crate) fn new() -> CellCache {
+        CellCache {
+            slots: vec![None; Self::SLOTS],
+        }
+    }
+
+    /// The cell holding `s`: a shared one if the table has it.
+    pub(crate) fn cell(&mut self, s: &str) -> Arc<str> {
+        // FNV-1a over the length and the first 16 bytes.
+        let hash = s
+            .bytes()
+            .take(16)
+            .fold(0xcbf2_9ce4_8422_2325_u64 ^ s.len() as u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        let slot = &mut self.slots[(hash as usize) % Self::SLOTS];
+        match slot {
+            Some(cell) if **cell == *s => Arc::clone(cell),
+            _ => Arc::clone(slot.insert(Arc::from(s))),
+        }
+    }
 }
 
 impl ColumnData {
@@ -52,7 +102,10 @@ impl ColumnData {
         }
     }
 
-    /// Heap bytes held by the buffer (strings count their capacity).
+    /// Heap bytes held by the buffer. A string cell counts its pointer
+    /// plus its whole allocation (two reference counts and the bytes)
+    /// even when other cells or chunks share that allocation, so for
+    /// string columns this is an upper bound, not a unique count.
     fn heap_bytes(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.len() * 8,
@@ -60,7 +113,9 @@ impl ColumnData {
             ColumnData::Bool(v) => v.len(),
             ColumnData::Str(v) => v
                 .iter()
-                .map(|s| std::mem::size_of::<String>() + s.capacity())
+                .map(|s| {
+                    std::mem::size_of::<Arc<str>>() + 2 * std::mem::size_of::<usize>() + s.len()
+                })
                 .sum(),
         }
     }
@@ -243,8 +298,27 @@ impl Column {
         dtype: DType,
         values: Vec<Option<String>>,
     ) -> Self {
+        let mut cells = CellCache::new();
+        Column::from_shared_strings(
+            name,
+            dtype,
+            values
+                .into_iter()
+                .map(|v| v.map(|s| cells.cell(&s)))
+                .collect(),
+        )
+    }
+
+    /// Build a string-backed column from cells that are already
+    /// shared, as the CSV readers do: each cell is stored as given,
+    /// with no further copy.
+    pub(crate) fn from_shared_strings<S: Into<String>>(
+        name: S,
+        dtype: DType,
+        values: Vec<Option<Arc<str>>>,
+    ) -> Self {
         assert!(dtype.is_string(), "from_strings requires a string dtype");
-        let (len, chunks) = build_chunks(values, |_| true, String::new, ColumnData::Str);
+        let (len, chunks) = build_chunks(values, |_| true, empty_str, ColumnData::Str);
         Column {
             name: name.into(),
             dtype,
@@ -382,7 +456,7 @@ impl Column {
             ColumnData::Int(v) => Value::Int(v[off]),
             ColumnData::Float(v) => Value::Float(v[off]),
             ColumnData::Bool(v) => Value::Bool(v[off]),
-            ColumnData::Str(v) => Value::Str(v[off].clone()),
+            ColumnData::Str(v) => Value::Str(String::from(&*v[off])),
         }
     }
 
@@ -395,6 +469,32 @@ impl Column {
         (chunk, index % CHUNK_ROWS)
     }
 
+    /// Unique access to the chunk the next pushed row lands in,
+    /// starting a new one when the last is full.
+    fn tail_chunk(&mut self) -> &mut Chunk {
+        if self.chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
+            self.chunks.push(Arc::new(Chunk::new(
+                ColumnData::empty(self.dtype),
+                Bitmap::new(),
+            )));
+        }
+        let chunk = Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above"));
+        chunk.fp.take();
+        chunk
+    }
+
+    /// Append a string cell that is already built. Panics on a
+    /// non-string column.
+    pub(crate) fn push_str_cell(&mut self, cell: Arc<str>) {
+        let chunk = self.tail_chunk();
+        let ColumnData::Str(v) = &mut chunk.data else {
+            panic!("push_str_cell on a non-string column")
+        };
+        v.push(cell);
+        chunk.validity.push(true);
+        self.len += 1;
+    }
+
     /// Append a value, checking it against the dtype.
     pub fn push(&mut self, value: Value) -> Result<()> {
         if !self.dtype.admits(&value) {
@@ -404,21 +504,14 @@ impl Column {
                 found: value.type_name().to_string(),
             });
         }
-        if self.chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
-            self.chunks.push(Arc::new(Chunk::new(
-                ColumnData::empty(self.dtype),
-                Bitmap::new(),
-            )));
-        }
-        let chunk = Arc::make_mut(self.chunks.last_mut().expect("chunk pushed above"));
-        chunk.fp.take();
+        let chunk = self.tail_chunk();
         match (&mut chunk.data, value) {
             (data, Value::Null) => {
                 match data {
                     ColumnData::Int(v) => v.push(0),
                     ColumnData::Float(v) => v.push(0.0),
                     ColumnData::Bool(v) => v.push(false),
-                    ColumnData::Str(v) => v.push(String::new()),
+                    ColumnData::Str(v) => v.push(empty_str()),
                 }
                 chunk.validity.push(false);
             }
@@ -439,7 +532,7 @@ impl Column {
                 chunk.validity.push(true);
             }
             (ColumnData::Str(v), Value::Str(s)) => {
-                v.push(s);
+                v.push(Arc::from(s));
                 chunk.validity.push(true);
             }
             _ => unreachable!("admits() already filtered mismatches"),
@@ -482,7 +575,7 @@ impl Column {
                     valid && v[off].to_bits() == (*i as f64).to_bits()
                 }
                 (ColumnData::Bool(v), Value::Bool(b)) => valid && v[off] == *b,
-                (ColumnData::Str(v), Value::Str(s)) => valid && v[off] == *s,
+                (ColumnData::Str(v), Value::Str(s)) => valid && *v[off] == **s,
                 _ => false,
             };
             if same {
@@ -509,7 +602,7 @@ impl Column {
                 chunk.validity.set(off, true);
             }
             (ColumnData::Str(v), Value::Str(s)) => {
-                v[off] = s;
+                v[off] = Arc::from(s);
                 chunk.validity.set(off, true);
             }
             _ => unreachable!("admits() already filtered mismatches"),
@@ -557,12 +650,7 @@ impl Column {
             let base = ci * CHUNK_ROWS;
             match &chunk.data {
                 ColumnData::Str(v) => {
-                    out.extend(
-                        chunk
-                            .validity
-                            .ones()
-                            .map(|off| (base + off, v[off].as_str())),
-                    );
+                    out.extend(chunk.validity.ones().map(|off| (base + off, &*v[off])));
                 }
                 _ => return Vec::new(),
             }
@@ -632,7 +720,21 @@ impl Column {
     /// Map every non-NULL string value through `f` in place; returns
     /// how many changed. No-op on non-string columns. Same lazy
     /// un-sharing as [`Column::map_numeric_in_place`].
-    pub fn map_str_in_place<F: FnMut(&str) -> Option<String>>(&mut self, mut f: F) -> usize {
+    pub fn map_str_in_place<F: FnMut(&str) -> Option<String>>(&mut self, f: F) -> usize {
+        self.map_cells(f)
+    }
+
+    /// [`Column::map_str_in_place`] for a map onto shared cells: each
+    /// new cell is stored as is, a reference-count bump, not a copy.
+    pub fn map_str_cells_in_place<F: FnMut(&str) -> Option<Arc<str>>>(&mut self, f: F) -> usize {
+        self.map_cells(f)
+    }
+
+    fn map_cells<S, F>(&mut self, mut f: F) -> usize
+    where
+        S: AsRef<str> + Into<Arc<str>>,
+        F: FnMut(&str) -> Option<S>,
+    {
         let mut changed = 0;
         for slot in &mut self.chunks {
             if !matches!(slot.data, ColumnData::Str(_)) {
@@ -646,13 +748,13 @@ impl Column {
                     unreachable!("checked above")
                 };
                 let Some(new) = f(&v[off]) else { continue };
-                if new != v[off] {
+                if new.as_ref() != &*v[off] {
                     let chunk = Arc::make_mut(slot);
                     chunk.fp.take();
                     let ColumnData::Str(v) = &mut chunk.data else {
                         unreachable!("checked above")
                     };
-                    v[off] = new;
+                    v[off] = new.into();
                     changed += 1;
                 }
             }
@@ -660,14 +762,11 @@ impl Column {
         changed
     }
 
-    /// New column keeping only rows where `mask` is set.
+    /// New column keeping only rows where `mask` is set: the typed
+    /// gather of [`Column::take`] over the mask's set bits.
     pub fn filter(&self, mask: &Bitmap) -> Column {
         assert_eq!(mask.len(), self.len(), "mask length mismatch");
-        let mut out = Column::empty(self.name.clone(), self.dtype);
-        for i in mask.ones() {
-            out.push(self.get(i)).expect("same dtype");
-        }
-        out
+        self.take(&mask.ones().collect::<Vec<_>>())
     }
 
     /// New column with rows gathered at `indices` (repeats allowed —
@@ -695,7 +794,7 @@ impl Column {
                 _ => unreachable!("chunk variant fixed per column"),
             }),
             DType::Categorical | DType::Text => {
-                self.gather(indices, String::new(), ColumnData::Str, |d| match d {
+                self.gather(indices, empty_str(), ColumnData::Str, |d| match d {
                     ColumnData::Str(v) => v,
                     _ => unreachable!("chunk variant fixed per column"),
                 })
@@ -748,6 +847,37 @@ impl Column {
             .collect()
     }
 
+    /// Number of rows whose values differ between `self` and `other`,
+    /// with the same verdict as comparing `get(i)` on both sides (a
+    /// NULL equals only a NULL; floats compare with `==`), but read
+    /// slot by slot with no [`Value`] built. Panics unless both
+    /// columns have the same length and storage type.
+    pub fn count_differences(&self, other: &Column) -> usize {
+        fn differing<T: PartialEq>(a: &[T], va: &Bitmap, b: &[T], vb: &Bitmap) -> usize {
+            (0..a.len())
+                .filter(|&off| match (va.get(off), vb.get(off)) {
+                    (true, true) => a[off] != b[off],
+                    (x, y) => x != y,
+                })
+                .count()
+        }
+        assert_eq!(self.len, other.len, "column length mismatch");
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .map(|(a, b)| {
+                let (va, vb) = (&a.validity, &b.validity);
+                match (&a.data, &b.data) {
+                    (ColumnData::Int(x), ColumnData::Int(y)) => differing(x, va, y, vb),
+                    (ColumnData::Float(x), ColumnData::Float(y)) => differing(x, va, y, vb),
+                    (ColumnData::Bool(x), ColumnData::Bool(y)) => differing(x, va, y, vb),
+                    (ColumnData::Str(x), ColumnData::Str(y)) => differing(x, va, y, vb),
+                    _ => panic!("column storage type mismatch"),
+                }
+            })
+            .sum()
+    }
+
     /// Distinct non-NULL values (as display strings) with counts,
     /// sorted by value. Backs categorical domain discovery.
     pub fn value_counts(&self) -> Vec<(String, usize)> {
@@ -756,10 +886,10 @@ impl Column {
             match &chunk.data {
                 ColumnData::Str(v) => {
                     for off in chunk.validity.ones() {
-                        match counts.get_mut(v[off].as_str()) {
+                        match counts.get_mut(&*v[off]) {
                             Some(c) => *c += 1,
                             None => {
-                                counts.insert(v[off].clone(), 1);
+                                counts.insert(String::from(&*v[off]), 1);
                             }
                         }
                     }
@@ -908,6 +1038,13 @@ mod tests {
         assert_eq!(changed, 2);
         assert_eq!(col.get(0), Value::Str("1".into()));
         assert_eq!(col.get(1), Value::Str("-1".into()));
+        // A shared cell is stored as is; an equal value is no change.
+        let one: Arc<str> = Arc::from("1");
+        assert_eq!(col.map_str_cells_in_place(|_| Some(Arc::clone(&one))), 1);
+        let ColumnData::Str(cells) = col.chunks()[0].data() else {
+            panic!("string storage")
+        };
+        assert!(Arc::ptr_eq(&cells[1], &one));
     }
 
     #[test]
@@ -921,6 +1058,67 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(0), Value::Int(30));
         assert_eq!(t.get(2), Value::Int(10));
+    }
+
+    #[test]
+    fn count_differences_compares_slots_like_values() {
+        let strs = |vals: &[Option<&str>]| {
+            Column::from_strings(
+                "s",
+                DType::Categorical,
+                vals.iter().map(|v| v.map(str::to_string)).collect(),
+            )
+        };
+        let a = strs(&[Some("x"), None, Some("y"), None, Some("z")]);
+        let mut b = strs(&[Some("x"), None, Some("q"), Some("w"), None]);
+        // Rows 2 (value), 3 (NULL vs value) and 4 (value vs NULL).
+        assert_eq!(a.count_differences(&b), 3);
+        // A NULL written over a value keeps the stale slot; it must
+        // still compare equal to the other side's NULL.
+        b.set(2, Value::Null).unwrap();
+        let mut a2 = a.clone();
+        a2.set(2, Value::Null).unwrap();
+        assert_eq!(a2.count_differences(&b), 2);
+        let reference =
+            |x: &Column, y: &Column| (0..x.len()).filter(|&i| x.get(i) != y.get(i)).count();
+        assert_eq!(a2.count_differences(&b), reference(&a2, &b));
+        let f = Column::from_floats("f", vec![Some(0.0), None, Some(1.5)]);
+        let g = Column::from_floats("f", vec![Some(-0.0), Some(2.0), Some(1.5)]);
+        assert_eq!(f.count_differences(&g), reference(&f, &g));
+        assert_eq!(f.count_differences(&g), 1, "0.0 == -0.0, as Value compares");
+    }
+
+    #[test]
+    fn equal_strings_share_cells_and_every_cell_keeps_its_content() {
+        // 300 distinct values over 64 cache slots: slots collide and
+        // get overwritten, and every cell must still hold its string.
+        let values: Vec<Option<String>> = (0..3000)
+            .map(|i| (i % 13 != 0).then(|| format!("v{}", (i * 7) % 300)))
+            .collect();
+        let col = Column::from_strings("s", DType::Categorical, values.clone());
+        for (i, v) in values.iter().enumerate() {
+            let want = v.clone().map_or(Value::Null, Value::Str);
+            assert_eq!(col.get(i), want, "row {i}");
+        }
+        let mut shared = CellCache::new();
+        let a = shared.cell("repeat");
+        let b = shared.cell("repeat");
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn string_nulls_share_one_placeholder() {
+        let col = Column::from_strings("s", DType::Text, vec![None, Some("a".into()), None]);
+        let ColumnData::Str(v) = col.chunks()[0].data() else {
+            panic!("string storage")
+        };
+        assert!(Arc::ptr_eq(&v[0], &v[2]));
+        let gathered = col.take(&[1, 1, 0]);
+        let ColumnData::Str(g) = gathered.chunks()[0].data() else {
+            panic!("string storage")
+        };
+        assert!(Arc::ptr_eq(&g[0], &v[1]), "take shares the source cell");
+        assert!(Arc::ptr_eq(&g[2], &v[0]));
     }
 
     #[test]

@@ -6,15 +6,22 @@
 //! separator, double-quote quoting with `""` escapes, `\n`/`\r\n`
 //! records; empty fields are NULL.
 
-use crate::column::Column;
+use crate::column::{CellCache, Column};
 use crate::dtype::DType;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-/// Split one CSV record into fields, honoring quotes.
-fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
+/// Split one CSV record into fields, honoring quotes. A record with
+/// no quote character splits at every comma, and its fields borrow
+/// from `line`.
+fn split_record(line: &str, line_no: usize) -> Result<Vec<Cow<'_, str>>> {
+    if !line.contains('"') {
+        return Ok(line.split(',').map(Cow::Borrowed).collect());
+    }
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
@@ -42,7 +49,7 @@ fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
                         )));
                     }
                 }
-                ',' => fields.push(std::mem::take(&mut cur)),
+                ',' => fields.push(Cow::Owned(std::mem::take(&mut cur))),
                 _ => cur.push(c),
             }
         }
@@ -50,7 +57,7 @@ fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
     if in_quotes {
         return Err(FrameError::Csv(format!("line {line_no}: unclosed quote")));
     }
-    fields.push(cur);
+    fields.push(Cow::Owned(cur));
     Ok(fields)
 }
 
@@ -110,7 +117,7 @@ fn read_lines<R: Read>(reader: R) -> Result<Vec<String>> {
 }
 
 /// Split data record `line_no`, which must have `n_cols` fields.
-fn split_row(line: &str, line_no: usize, n_cols: usize) -> Result<Vec<String>> {
+fn split_row(line: &str, line_no: usize, n_cols: usize) -> Result<Vec<Cow<'_, str>>> {
     let fields = split_record(line, line_no)?;
     if fields.len() != n_cols {
         return Err(FrameError::Csv(format!(
@@ -138,9 +145,9 @@ pub fn read_csv<R: Read>(reader: R) -> Result<DataFrame> {
         .map(|(j, name)| {
             let col_raw: Vec<Option<&str>> = rows
                 .iter()
-                .map(|r| Some(r[j].as_str()).filter(|f| !f.is_empty()))
+                .map(|r| Some(&*r[j]).filter(|f| !f.is_empty()))
                 .collect();
-            (name.as_str(), infer_dtype(&col_raw))
+            (name.as_ref(), infer_dtype(&col_raw))
         })
         .collect();
     // Every field parses as the dtype inferred from its column.
@@ -190,7 +197,7 @@ enum TypedCells {
     Int(Vec<Option<i64>>),
     Float(Vec<Option<f64>>),
     Bool(Vec<Option<bool>>),
-    Str(Vec<Option<String>>),
+    Str(Vec<Option<Arc<str>>>, CellCache),
 }
 
 impl TypedCells {
@@ -199,29 +206,33 @@ impl TypedCells {
             DType::Int => TypedCells::Int(Vec::with_capacity(n)),
             DType::Float => TypedCells::Float(Vec::with_capacity(n)),
             DType::Bool => TypedCells::Bool(Vec::with_capacity(n)),
-            DType::Categorical | DType::Text => TypedCells::Str(Vec::with_capacity(n)),
+            DType::Categorical | DType::Text => {
+                TypedCells::Str(Vec::with_capacity(n), CellCache::new())
+            }
         }
     }
 
-    /// Append one raw field (empty = NULL). A field that does not
-    /// parse as the column's dtype is handed back as the error.
-    fn push(&mut self, field: String) -> std::result::Result<(), String> {
+    /// Append one raw field (empty = NULL). A string field becomes a
+    /// cell straight from the field, shared with equal earlier cells
+    /// where the cache has one. A field that does not parse as the
+    /// column's dtype is an error.
+    fn push(&mut self, field: &str) -> std::result::Result<(), ()> {
         if field.is_empty() {
             match self {
                 TypedCells::Int(v) => v.push(None),
                 TypedCells::Float(v) => v.push(None),
                 TypedCells::Bool(v) => v.push(None),
-                TypedCells::Str(v) => v.push(None),
+                TypedCells::Str(v, _) => v.push(None),
             }
             return Ok(());
         }
         match self {
-            TypedCells::Int(v) => v.push(Some(field.parse().map_err(|_| field)?)),
-            TypedCells::Float(v) => v.push(Some(field.parse().map_err(|_| field)?)),
+            TypedCells::Int(v) => v.push(Some(field.parse().map_err(|_| ())?)),
+            TypedCells::Float(v) => v.push(Some(field.parse().map_err(|_| ())?)),
             TypedCells::Bool(v) if field.eq_ignore_ascii_case("true") => v.push(Some(true)),
             TypedCells::Bool(v) if field.eq_ignore_ascii_case("false") => v.push(Some(false)),
-            TypedCells::Bool(_) => return Err(field),
-            TypedCells::Str(v) => v.push(Some(field)),
+            TypedCells::Bool(_) => return Err(()),
+            TypedCells::Str(v, cells) => v.push(Some(cells.cell(field))),
         }
         Ok(())
     }
@@ -232,7 +243,7 @@ impl TypedCells {
             // NaN cells become NULL, as `Value::from(f64)` does.
             TypedCells::Float(v) => Column::from_floats(name, v),
             TypedCells::Bool(v) => Column::from_bools(name, v),
-            TypedCells::Str(v) => Column::from_strings(name, dtype, v),
+            TypedCells::Str(v, _) => Column::from_shared_strings(name, dtype, v),
         }
     }
 }
@@ -277,8 +288,8 @@ pub fn read_csv_with_schema<R: Read>(reader: R, fields: &[(&str, DType)]) -> Res
 /// a string-typed field is kept verbatim; a field that does not parse
 /// as its column's `Int`/`Float`/`Bool` dtype is a [`FrameError::Csv`]
 /// naming the line and the column.
-fn typed_frame(
-    records: impl Iterator<Item = Result<(Vec<String>, usize)>>,
+fn typed_frame<'a>(
+    records: impl Iterator<Item = Result<(Vec<Cow<'a, str>>, usize)>>,
     fields: &[(&str, DType)],
 ) -> Result<DataFrame> {
     let n_rows = records.size_hint().0;
@@ -289,7 +300,7 @@ fn typed_frame(
     for record in records {
         let (row, line_no) = record?;
         for ((cells, field), (name, dtype)) in cols.iter_mut().zip(row).zip(fields) {
-            cells.push(field).map_err(|field| {
+            cells.push(&field).map_err(|()| {
                 FrameError::Csv(format!(
                     "line {line_no}: column {name:?}: expected {dtype}, found {field:?}"
                 ))

@@ -17,7 +17,7 @@ fn render_cell(data: &ColumnData, off: usize) -> std::borrow::Cow<'_, str> {
         ColumnData::Int(v) => std::borrow::Cow::Owned(v[off].to_string()),
         ColumnData::Float(v) => std::borrow::Cow::Owned(format!("{}", v[off])),
         ColumnData::Bool(v) => std::borrow::Cow::Owned(v[off].to_string()),
-        ColumnData::Str(v) => std::borrow::Cow::Borrowed(v[off].as_str()),
+        ColumnData::Str(v) => std::borrow::Cow::Borrowed(&*v[off]),
     }
 }
 

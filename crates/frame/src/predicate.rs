@@ -241,7 +241,7 @@ fn eval_cmp(col: &Column, op: CmpOp, rhs: &Value) -> Bitmap {
             }
             (ColumnData::Str(v), CmpMode::Str(s)) => {
                 for (off, x) in v.iter().enumerate() {
-                    out.push(validity.get(off) && keep(x.as_str().cmp(s)));
+                    out.push(validity.get(off) && keep((**x).cmp(s)));
                 }
             }
             (_, CmpMode::Fixed(ord)) => {

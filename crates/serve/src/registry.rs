@@ -17,7 +17,8 @@
 //! state is always consistent at unlock points).
 
 use crate::lru::LruScoreCache;
-use dataprism::{PrismConfig, SystemFactory};
+use dataprism::discovery::discriminative_pvts_par;
+use dataprism::{PrismConfig, Pvt, SystemFactory};
 use dp_frame::DataFrame;
 use dp_scenarios::Scenario;
 use std::collections::HashMap;
@@ -42,6 +43,10 @@ pub struct SystemSpec {
     pub d_fail: DataFrame,
     /// The scenario's diagnosis configuration.
     pub config: PrismConfig,
+    /// The discriminative candidates, discovered once at registration:
+    /// `d_pass` and `d_fail` never change while the spec lives, so
+    /// every `diagnose` against it reuses them.
+    pub pvts: Vec<Pvt>,
     /// Builds fresh system instances for the parallel runtime.
     pub factory: Box<dyn SystemFactory + Send + Sync>,
 }
@@ -140,10 +145,12 @@ impl Registry {
     }
 
     /// Register (or re-register) `name` as an instance of scenario
-    /// `key`. Re-registering replaces the spec but **keeps** the
-    /// existing cache namespace — same scenario key, rows, and seed
-    /// produce the same system, and a changed spec changes the
-    /// fingerprints anyway, so stale entries are merely unused.
+    /// `key`, discovering its candidates (outside every lock).
+    /// Re-registering replaces the spec, candidates included, but
+    /// **keeps** the existing cache namespace — same scenario key,
+    /// rows, and seed produce the same system, and a changed spec
+    /// changes the fingerprints anyway, so stale entries are merely
+    /// unused.
     /// Returns `None` if the scenario key is unknown.
     pub fn register(
         &self,
@@ -153,11 +160,18 @@ impl Registry {
         seed: Option<u64>,
     ) -> Option<usize> {
         let scenario = build_scenario(key, rows, seed)?;
+        let pvts = discriminative_pvts_par(
+            &scenario.d_pass,
+            &scenario.d_fail,
+            &scenario.config.discovery,
+            scenario.config.num_threads,
+        );
         let spec = Arc::new(SystemSpec {
             scenario: key.to_string(),
             d_pass: scenario.d_pass,
             d_fail: scenario.d_fail,
             config: scenario.config,
+            pvts,
             factory: scenario.factory,
         });
         let mut systems = lock_or_recover(&self.systems);

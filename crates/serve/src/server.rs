@@ -24,7 +24,7 @@ use crate::protocol::{
 use crate::registry::{lock_or_recover, Registry, SystemEntry};
 use dataprism::{
     explain_greedy_parallel_cached_with_pvts, explain_group_test_parallel_cached_with_pvts,
-    DataPrism, PartitionStrategy, ScoreCache, SpeculationMode,
+    PartitionStrategy, ScoreCache, SpeculationMode,
 };
 use dp_monitor::{MonitorConfig, Watcher};
 use dp_trace::Tracer;
@@ -626,23 +626,37 @@ fn handle_diagnose(
     let speculation = mode.unwrap_or(shared.config.speculation);
     config.speculation = speculation;
     config.speculation_budget = budget.or_else(|| namespace_budget(&shared.config));
-    let prism = DataPrism::new(config);
+    // The candidates were discovered at registration; `auto` runs
+    // group testing and falls back to greedy when A3 fails, with the
+    // failed attempt's scores already in `cache`.
+    let greedy = |cache: &mut ScoreCache| {
+        explain_greedy_parallel_cached_with_pvts(
+            &*spec.factory,
+            &spec.d_fail,
+            &spec.d_pass,
+            spec.pvts.clone(),
+            &config,
+            cache,
+        )
+    };
+    let group_test = |cache: &mut ScoreCache| {
+        explain_group_test_parallel_cached_with_pvts(
+            &*spec.factory,
+            &spec.d_fail,
+            &spec.d_pass,
+            spec.pvts.clone(),
+            &config,
+            PartitionStrategy::MinBisection,
+            cache,
+        )
+    };
     let result = match algo {
-        Algo::Greedy => {
-            prism.diagnose_parallel_cached(&*spec.factory, &spec.d_fail, &spec.d_pass, &mut cache)
-        }
-        Algo::GroupTest => prism.diagnose_group_test_parallel_cached(
-            &*spec.factory,
-            &spec.d_fail,
-            &spec.d_pass,
-            &mut cache,
-        ),
-        Algo::Auto => prism.diagnose_auto_parallel_cached(
-            &*spec.factory,
-            &spec.d_fail,
-            &spec.d_pass,
-            &mut cache,
-        ),
+        Algo::Greedy => greedy(&mut cache),
+        Algo::GroupTest => group_test(&mut cache),
+        Algo::Auto => match group_test(&mut cache) {
+            Err(dataprism::PrismError::AssumptionViolated(_)) => greedy(&mut cache),
+            other => other,
+        },
     };
     drop(permit);
     // Copy-out: even a failed diagnosis paid for its evaluations;

@@ -112,3 +112,48 @@ fn corrupt_snapshots_are_rejected_with_line_numbers() {
         assert_eq!(err.line, bad_line, "{text:?}: {err}");
     }
 }
+
+/// A fixed two-chunk frame: string columns with NULLs on both sides
+/// of the chunk boundary, one NULL written over a value (its slot
+/// keeps the stale string), plus an `Int` and a `Float` column.
+fn two_chunk_frame() -> dp_frame::DataFrame {
+    use dp_frame::{Column, DType, DataFrame, Value, CHUNK_ROWS};
+    let n = CHUNK_ROWS + 37;
+    let cats = ["alpha", "beta", "gamma", ""];
+    let cat: Vec<Option<String>> = (0..n)
+        .map(|i| (i % 7 != 3).then(|| cats[i % cats.len()].to_string()))
+        .collect();
+    let txt: Vec<Option<String>> = (0..n)
+        .map(|i| (i % 11 != 0).then(|| format!("t{}-é", (i * 31) % 1000)))
+        .collect();
+    let ints: Vec<Option<i64>> = (0..n)
+        .map(|i| (i % 13 != 5).then_some(i as i64 - 2000))
+        .collect();
+    let floats: Vec<Option<f64>> = (0..n)
+        .map(|i| (i % 17 != 8).then_some(i as f64 * 0.25 - 7.5))
+        .collect();
+    let mut df = DataFrame::from_columns(vec![
+        Column::from_strings("cat", DType::Categorical, cat),
+        Column::from_strings("txt", DType::Text, txt),
+        Column::from_ints("int", ints),
+        Column::from_floats("float", floats),
+    ])
+    .expect("frame builds");
+    df.column_mut("txt")
+        .unwrap()
+        .set(CHUNK_ROWS + 1, Value::Null)
+        .unwrap();
+    df
+}
+
+/// Snapshot entries are keyed by frame fingerprints, so a snapshot
+/// written by an earlier build hits only while the fingerprint of
+/// the same frame stays put. The value is pinned from the build whose
+/// string cells were `String`s.
+#[test]
+fn fingerprint_of_a_fixed_two_chunk_frame_is_pinned() {
+    let df = two_chunk_frame();
+    assert_eq!(df.column("cat").unwrap().chunks().len(), 2);
+    assert_eq!(dataprism::fingerprint(&df), 2808021691369133056);
+    assert_eq!(dataprism::fingerprint_reference(&df), 2353892027729165997);
+}

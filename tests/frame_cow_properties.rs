@@ -14,16 +14,21 @@
 //! - untouched columns keep sharing chunks with the base (the CoW
 //!   refactor's memory guarantee), while deep copies share none;
 //! - exact `CHUNK_ROWS` and bitmap-word boundary lengths round-trip;
-//! - the typed row gather `Column::take` equals pushing `get(i)` row
-//!   by row — chunk data, NULL placeholders and fingerprints — for
-//!   every dtype and for index vectors that repeat rows and cross
-//!   `CHUNK_ROWS`.
+//! - the typed row gather `Column::take`, and `Column::filter` built
+//!   on it, equal pushing `get(i)` row by row — chunk data, NULL
+//!   placeholders and fingerprints — for every dtype and for index
+//!   vectors that repeat rows and cross `CHUNK_ROWS`;
+//! - `apply_composition`, which composes consecutive resamples into
+//!   one row selection and gathers once, equals folding
+//!   `Transform::apply` step by step: same frame, fingerprint, changed
+//!   total and RNG stream.
 
 use dataprism::profile::OutlierSpec;
+use dataprism::pvt::apply_composition;
 use dataprism::transform::{ImputeStrategy, OutlierRepair, Transform};
-use dataprism::{fingerprint, fingerprint_reference};
+use dataprism::{fingerprint, fingerprint_reference, Profile, Pvt};
 use dp_frame::groupby::ContingencyTable;
-use dp_frame::{CmpOp, Column, DType, DataFrame, Predicate, Value, CHUNK_ROWS};
+use dp_frame::{Bitmap, CmpOp, Column, DType, DataFrame, Predicate, Value, CHUNK_ROWS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -337,7 +342,130 @@ proptest! {
             prop_assert_eq!(a.chunks().len(), picks.div_ceil(CHUNK_ROWS));
         }
         prop_assert_eq!(fingerprint(&fast), fingerprint(&reference));
+
+        // `filter` is the same gather over a mask's set bits.
+        let mask: Bitmap = (0..len).map(|_| rng.gen_range(0..3usize) != 0).collect();
+        let kept: Vec<usize> = mask.ones().collect();
+        let filtered = df.filter(&mask).expect("mask fits");
+        let reference = DataFrame::from_columns(
+            df.columns().iter().map(|c| reference_take(c, &kept)).collect(),
+        )
+        .expect("reference rebuilds");
+        for (a, b) in filtered.columns().iter().zip(reference.columns()) {
+            prop_assert!(a == b, "filtered column {} differs from the reference", a.name());
+            prop_assert_eq!(a.chunks().len(), kept.len().div_ceil(CHUNK_ROWS));
+        }
+        prop_assert_eq!(fingerprint(&filtered), fingerprint(&reference));
     }
+
+    // Late-materialized resampling is exact: on random mixed-dtype
+    // frames with NULLs, chains mixing over-, under- and identity
+    // resamples with column transforms give the same frame (chunk
+    // data and validity), fingerprint, changed total and next RNG
+    // draw through `apply_composition` as through a step-by-step fold.
+    #[test]
+    fn composed_resamples_match_the_step_by_step_fold(
+        len in prop::sample::select(vec![1usize, 2, 65, 300, CHUNK_ROWS - 3, CHUNK_ROWS + 5]),
+        frame_seed in 0u64..1_000_000,
+        chain_seed in 0u64..1_000_000,
+        rng_seed in 0u64..1_000_000,
+    ) {
+        let base = build_frame(len, frame_seed);
+        let chain = draw_resample_chain(&base, chain_seed);
+
+        let mut fold_rng = StdRng::seed_from_u64(rng_seed);
+        let mut fold = base.clone();
+        let mut fold_total = 0;
+        for t in &chain {
+            let (next, changed) = t.apply(&fold, &mut fold_rng).expect("transform applies");
+            fold = next;
+            fold_total += changed;
+        }
+
+        let pvts: Vec<Pvt> = chain
+            .iter()
+            .enumerate()
+            .map(|(id, transform)| Pvt {
+                id,
+                profile: Profile::Missing { attr: "num".into(), theta: 0.0 },
+                transform: transform.clone(),
+            })
+            .collect();
+        let refs: Vec<&Pvt> = pvts.iter().collect();
+        let mut comp_rng = StdRng::seed_from_u64(rng_seed);
+        let (comp, comp_total) =
+            apply_composition(&refs, &base, &mut comp_rng).expect("composition applies");
+
+        prop_assert_eq!(comp.n_rows(), fold.n_rows());
+        for (a, b) in comp.columns().iter().zip(fold.columns()) {
+            prop_assert!(a == b, "column {} differs from the fold", a.name());
+        }
+        prop_assert_eq!(fingerprint(&comp), fingerprint(&fold));
+        prop_assert_eq!(comp_total, fold_total);
+        prop_assert_eq!(comp_rng.gen::<u64>(), fold_rng.gen::<u64>());
+    }
+}
+
+/// A chain of 1–8 transforms, about two thirds of them resamples.
+/// Targets cover over-sampling (θ above the selectivity),
+/// under-sampling (θ below it) and the identity cases: θ ≥ 1, a
+/// predicate no row matches, and θ equal to the selectivity (exactly,
+/// for a step that opens the chain). Column transforms, stochastic
+/// ones included, sit between the resamples.
+fn draw_resample_chain(base: &DataFrame, seed: u64) -> Vec<Transform> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let predicates = [
+        Predicate::cmp("cat", CmpOp::Eq, "x"),
+        Predicate::cmp("num", CmpOp::Gt, 0.0),
+        Predicate::IsNull("txt".into()),
+        Predicate::cmp("cat2", CmpOp::Eq, "y").and(Predicate::cmp("flag", CmpOp::Eq, true)),
+        Predicate::cmp("cat", CmpOp::Eq, "no-such-value"),
+        Predicate::True,
+    ];
+    let thetas = [0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0, 1.5];
+    let column_transforms = [
+        Transform::Winsorize {
+            attr: "num".into(),
+            lb: -25.0,
+            ub: 25.0,
+        },
+        Transform::Impute {
+            attr: "cat".into(),
+            strategy: ImputeStrategy::Mode,
+        },
+        Transform::Impute {
+            attr: "count".into(),
+            strategy: ImputeStrategy::Central,
+        },
+        // `num` correlates perfectly with itself, so this always
+        // draws noise from the RNG.
+        Transform::DecorrelateNoise {
+            a: "num".into(),
+            b: "num".into(),
+            alpha: 0.5,
+        },
+        Transform::MapToDomain {
+            attr: "cat2".into(),
+            values: ["x", "y"].iter().map(|s| s.to_string()).collect(),
+        },
+    ];
+    let mut chain = Vec::new();
+    if rng.gen_range(0..3usize) == 0 {
+        let predicate = predicates[rng.gen_range(0..predicates.len())].clone();
+        let theta = base.selectivity(&predicate).expect("predicate evaluates");
+        chain.push(Transform::ResampleSelectivity { predicate, theta });
+    }
+    for _ in 0..rng.gen_range(1..=8usize) {
+        chain.push(if rng.gen_range(0..3usize) == 0 {
+            column_transforms[rng.gen_range(0..column_transforms.len())].clone()
+        } else {
+            Transform::ResampleSelectivity {
+                predicate: predicates[rng.gen_range(0..predicates.len())].clone(),
+                theta: thetas[rng.gen_range(0..thetas.len())],
+            }
+        });
+    }
+    chain
 }
 
 /// Columns a transform does not target keep sharing chunks with the

@@ -398,3 +398,35 @@ fn daemon_snapshot_restore_preserves_warmth() {
     assert!(is_ok(&client.shutdown().unwrap()));
     server.join();
 }
+
+#[test]
+fn daemon_reregistration_diagnoses_with_the_new_candidates() {
+    // The daemon discovers candidates once per registration. After
+    // `inc` is re-registered at another size, the next diagnosis must
+    // run on the new registration's candidates: its digest equals the
+    // in-process diagnosis of the new size, not the old one.
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut digests = Vec::new();
+    for rows in [200, 300] {
+        let scenario = income::scenario_with_size(rows, 7);
+        let expected = run_cold(&scenario, Algo::GroupTest, 1, false).expect("income diagnoses");
+        assert!(is_ok(
+            &client
+                .register("inc", "income", Some(rows), Some(7))
+                .unwrap()
+        ));
+        let reply = client.diagnose("inc", "group_test", Some(1)).unwrap();
+        assert!(is_ok(&reply), "{reply:?}");
+        assert_eq!(
+            field_u64(&reply, "digest"),
+            Some(expected.digest()),
+            "rows {rows}: wire diagnosis must use the current registration"
+        );
+        digests.push(expected.digest());
+    }
+    assert_ne!(digests[0], digests[1], "the two sizes must be told apart");
+
+    assert!(is_ok(&client.shutdown().unwrap()));
+    server.join();
+}
